@@ -29,7 +29,7 @@ use parking_lot::{Mutex, RwLock};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 
 /// The implicit row-identity column appended to every loaded relation.
@@ -205,31 +205,17 @@ pub struct EngineStats {
     pub last_admission_request: u32,
     /// The statistics epoch at snapshot time.
     pub epoch: u64,
-    /// Storage-layout totals over loaded (non-transient) instances.
+    /// Storage totals over loaded (non-transient) instances.
     pub storage: StorageStats,
 }
 
-/// Aggregate storage-layout totals over the loaded (non-transient)
-/// catalog instances, reported by the server's `stats` verb.
+/// Aggregate storage totals over the loaded (non-transient) catalog
+/// instances, reported by the server's `stats` verb.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct StorageStats {
     /// Loaded instances.
     pub relations: u64,
-    /// Instances carrying a columnar backing.
-    pub columnar_relations: u64,
-    /// Total typed column vectors across columnar instances.
-    pub columns: u64,
-    /// Total distinct dictionary entries across string columns.
-    pub dict_entries: u64,
-    /// Total dictionary string bytes (shared per column, counted once).
-    pub dict_bytes: u64,
-    /// Total NULL values recorded in null bitmaps.
-    pub null_values: u64,
-    /// Resident bytes of the columnar backings.
-    pub resident_bytes: u64,
-    /// Encoded (row codec) bytes of all loaded instances — the
-    /// numerator of the compression ratio when every instance is
-    /// columnar (the default).
+    /// Encoded (row codec) bytes of all loaded instances.
     pub encoded_bytes: u64,
 }
 
@@ -296,13 +282,6 @@ struct Shared {
     /// Engine-wide slow-query threshold in milliseconds (0 = off).
     /// A run's [`RunOptions::slow_query_ms`] overrides it per query.
     slow_query_ms: AtomicU64,
-    /// Attach a columnar backing (`mwtj_storage::Columns`) to every
-    /// relation at load time. On by default; the `--row-major` server
-    /// flag and the differential suite turn it off to pin
-    /// bit-identical results across storage layouts. Purely a storage
-    /// accelerator — never observable in query output, plans or
-    /// simulated metrics.
-    columnar: AtomicBool,
     /// The always-on flight recorder behind `sys.queries`/`sys.jobs`:
     /// a bounded ring of completed-run records (including refused and
     /// failed runs) plus retained profiles of slow runs. Swapped
@@ -412,7 +391,6 @@ impl Engine {
                 deadline_exceeded: AtomicU64::new(0),
                 metrics: Registry::new(),
                 slow_query_ms: AtomicU64::new(0),
-                columnar: AtomicBool::new(true),
                 recorder: RwLock::new(Arc::new(FlightRecorder::new())),
             }),
         }
@@ -469,22 +447,13 @@ impl Engine {
         let storage = {
             let catalog = s.catalog.read();
             let mut t = StorageStats::default();
-            for (name, rel) in catalog
+            for (_, rel) in catalog
                 .relations
                 .iter()
                 .filter(|(name, _)| !is_internal_instance(name))
             {
-                let _ = name;
                 t.relations += 1;
                 t.encoded_bytes += rel.encoded_bytes() as u64;
-                if let Some(layout) = rel.layout() {
-                    t.columnar_relations += 1;
-                    t.columns += layout.columns as u64;
-                    t.dict_entries += layout.dict_entries;
-                    t.dict_bytes += layout.dict_bytes;
-                    t.null_values += layout.null_count;
-                    t.resident_bytes += layout.resident_bytes;
-                }
             }
             t
         };
@@ -527,43 +496,6 @@ impl Engine {
     /// [`RunOptions::slow_query_ms`] overrides per query).
     pub fn set_slow_query_ms(&self, ms: u64) {
         self.shared.slow_query_ms.store(ms, Ordering::Relaxed);
-    }
-
-    /// The engine-wide slow-query threshold in milliseconds (0 = off).
-    pub fn slow_query_threshold_ms(&self) -> u64 {
-        self.shared.slow_query_ms.load(Ordering::Relaxed)
-    }
-
-    /// Toggle columnar relation storage for *future* loads (already
-    /// loaded relations keep their layout). On by default. Off forces
-    /// row-major storage — the differential suite and the smoke
-    /// script's parity run use this; results are bit-identical either
-    /// way, only the storage layout and host wall-clock change.
-    pub fn set_columnar_storage(&self, on: bool) {
-        self.shared.columnar.store(on, Ordering::Relaxed);
-    }
-
-    /// Whether future loads attach a columnar backing.
-    pub fn columnar_storage(&self) -> bool {
-        self.shared.columnar.load(Ordering::Relaxed)
-    }
-
-    /// Apply the engine's storage-layout policy to a freshly augmented
-    /// relation: attach typed column vectors when columnar storage is
-    /// on (a no-op for relations that already carry a backing, e.g.
-    /// straight from CSV ingest), or strip them when it is off.
-    fn apply_storage_layout(&self, augmented: Relation) -> Relation {
-        if self.columnar_storage() {
-            if augmented.columns().is_some() {
-                augmented
-            } else {
-                augmented.with_columnar()
-            }
-        } else if augmented.columns().is_some() {
-            augmented.without_columns()
-        } else {
-            augmented
-        }
     }
 
     /// The flight recorder behind `sys.queries`/`sys.jobs`: the
@@ -744,7 +676,7 @@ impl Engine {
     /// matching the legacy façade's reload semantics. Only SQL
     /// auto-registration ([`Engine::load_alias_of`]) refuses to rebind.
     pub fn load_relation(&self, rel: &Relation) -> LoadReport {
-        let augmented = self.apply_storage_layout(augment_with_rid(rel));
+        let augmented = augment_with_rid(rel);
         let mut rng = StdRng::seed_from_u64(0x57a7 ^ augmented.len() as u64);
         let stats = RelationStats::collect(&augmented, self.shared.sample_cap, &mut rng);
         let base = rel.name().to_string();
@@ -766,7 +698,7 @@ impl Engine {
         if rel.name() == alias {
             return self.load_relation(rel);
         }
-        let augmented = self.apply_storage_layout(augment_with_rid(rel).rename(alias));
+        let augmented = augment_with_rid(rel).rename(alias);
         let mut rng = StdRng::seed_from_u64(0x57a7 ^ augmented.len() as u64);
         let stats = RelationStats::collect(&augmented, self.shared.sample_cap, &mut rng);
         let base = rel.name().to_string();
@@ -853,42 +785,13 @@ impl Engine {
             .min(augmented.encoded_bytes() as f64);
         let sampling_secs =
             augmented.encoded_bytes() as f64 * hw.c1() * 0.25 + sampled_bytes / hw.disk_write_bps;
-        // Publish the storage layout to the metrics registry (the
-        // server's `metrics` verb and `sys.metrics`): per-relation
-        // gauges describing the columnar backing, or zeroed gauges for
-        // a row-major (re)load so a layout toggle is visible.
-        {
-            let m = &self.shared.metrics;
-            let labels: &[(&str, &str)] = &[("relation", augmented.name())];
-            let layout = augmented.layout().unwrap_or_default();
-            m.gauge_set(
-                "mwtj_storage_columnar",
-                labels,
-                if augmented.columns().is_some() {
-                    1.0
-                } else {
-                    0.0
-                },
-            );
-            m.gauge_set("mwtj_storage_columns", labels, layout.columns as f64);
-            m.gauge_set(
-                "mwtj_storage_dict_entries",
-                labels,
-                layout.dict_entries as f64,
-            );
-            m.gauge_set("mwtj_storage_dict_bytes", labels, layout.dict_bytes as f64);
-            m.gauge_set("mwtj_storage_null_values", labels, layout.null_count as f64);
-            m.gauge_set(
-                "mwtj_storage_resident_bytes",
-                labels,
-                layout.resident_bytes as f64,
-            );
-            m.gauge_set(
-                "mwtj_storage_encoded_bytes",
-                labels,
-                augmented.encoded_bytes() as f64,
-            );
-        }
+        // Publish the instance's encoded size to the metrics registry
+        // (the server's `metrics` verb and `sys.metrics`).
+        self.shared.metrics.gauge_set(
+            "mwtj_storage_encoded_bytes",
+            &[("relation", augmented.name())],
+            augmented.encoded_bytes() as f64,
+        );
         let mut catalog = self.shared.catalog.write();
         let name = augmented.name().to_string();
         let replaced = catalog.relations.contains_key(&name);
@@ -1874,7 +1777,6 @@ impl Engine {
                             blocks,
                             zoned_blocks,
                             stats_epoch: catalog.epoch,
-                            layout: rel.layout(),
                         }
                     })
                     .collect();

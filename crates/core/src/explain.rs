@@ -122,22 +122,30 @@ impl Engine {
         }
         let (ns, renames) = self.namespace_instances(parsed);
         let bound = ns.bind(&[])?;
+        // The ticket's `desired` is the Eq. 2 request admission priced
+        // — the figure plain `EXPLAIN` reports — whereas the run's
+        // `granted_units` is the planner's `k_P`.
         let result = self.register_instances(&ns).and_then(|()| {
             let q = augment_query(&bound.query);
             let admitted = self.admit_for(&q, &run_opts, None)?;
-            self.execute_admitted(&admitted, &q, &run_opts, None)
+            let requested = admitted.ticket.desired();
+            Ok((
+                self.execute_admitted(&admitted, &q, &run_opts, None)?,
+                requested,
+            ))
         });
         for (internal, _) in &ns.instances {
             self.unload_quiet(internal);
         }
-        let run = restore_public_names(result?, &renames);
+        let (run, requested_units) = result?;
+        let run = restore_public_names(run, &renames);
         Ok(ExplainReport {
             trace_id: run.trace_id,
             analyze: true,
             method: run_opts.get_method(),
             plan: run.plan.clone(),
             predicted_secs: run.predicted_secs,
-            requested_units: run.granted_units,
+            requested_units,
             k_p: self.cluster().config().processing_units,
             cache_hit: None,
             analyzed: Some(run),
@@ -325,6 +333,41 @@ mod tests {
         assert!(text.contains("execute"), "{text}");
         assert!(!text.contains("__q"), "internal names leaked: {text}");
         assert_eq!(engine.scheduler().stats().admitted, 1);
+    }
+
+    /// On a warm query (plan cached, skip fraction recorded), plain
+    /// `EXPLAIN` and `EXPLAIN ANALYZE` report the same admission
+    /// request: the skip-discounted Eq. 2 units, not the planner's
+    /// `k_P`. Value-clustered blocks under a narrow band make the
+    /// discount fire, so the two figures differ.
+    #[test]
+    fn explain_and_analyze_report_the_same_request() {
+        let engine = Engine::with_units(8);
+        let schema = |n| Schema::from_pairs(n, &[("a", DataType::Int), ("b", DataType::Int)]);
+        let big = (0..12_000i64).map(|i| tuple![i, i]).collect();
+        let tiny = (0..10i64).map(|i| tuple![i + 40, i]).collect();
+        let _ = engine.load_relation(&Relation::from_rows_unchecked(schema("big"), big));
+        let _ = engine.load_relation(&Relation::from_rows_unchecked(schema("tiny"), tiny));
+        let sql = "SELECT b.a FROM big b, tiny t WHERE b.a < t.a";
+        let opts = RunOptions::default();
+        engine.run_sql(sql).unwrap();
+        let plain = engine
+            .explain_sql("q", &format!("EXPLAIN {sql}"), &opts)
+            .unwrap();
+        let analyzed = engine
+            .explain_sql("q", &format!("EXPLAIN ANALYZE {sql}"), &opts)
+            .unwrap();
+        assert_eq!(plain.cache_hit, Some(true), "warm cache");
+        assert_eq!(analyzed.requested_units, plain.requested_units);
+        let run = analyzed.analyzed.as_ref().unwrap();
+        assert!(
+            plain.requested_units < run.granted_units,
+            "degenerate test: request {} equals k_P {}",
+            plain.requested_units,
+            run.granted_units
+        );
+        let want = format!("units: requested={} ", plain.requested_units);
+        assert!(analyzed.render().contains(&want), "{}", analyzed.render());
     }
 
     #[test]

@@ -98,15 +98,6 @@ pub fn schema_of(base: &str) -> Option<Schema> {
             ("blocks", DataType::Int),
             ("zoned_blocks", DataType::Int),
             ("stats_epoch", DataType::Int),
-            // Storage layout: columnar backing (1/0), its column and
-            // dictionary shape, and resident vs encoded size.
-            ("columnar", DataType::Int),
-            ("columns", DataType::Int),
-            ("dict_entries", DataType::Int),
-            ("dict_bytes", DataType::Int),
-            ("null_values", DataType::Int),
-            ("resident_bytes", DataType::Int),
-            ("compression", DataType::Double),
         ],
         "sys.scheduler" => &[
             ("budget", DataType::Int),
@@ -233,8 +224,6 @@ pub struct RelationRow {
     pub zoned_blocks: u64,
     /// The statistics epoch at snapshot time.
     pub stats_epoch: u64,
-    /// The instance's columnar layout, `None` when stored row-major.
-    pub layout: Option<mwtj_storage::ColumnarLayout>,
 }
 
 /// `sys.relations`: one row per loaded (non-transient) instance.
@@ -243,14 +232,6 @@ pub fn relations_relation(rows: &[RelationRow]) -> Relation {
     let tuples = rows
         .iter()
         .map(|r| {
-            let layout = r.layout.unwrap_or_default();
-            // Compression = encoded (row codec) bytes over resident
-            // columnar bytes; 0.0 for row-major instances.
-            let compression = if r.layout.is_some() && layout.resident_bytes > 0 {
-                r.bytes as f64 / layout.resident_bytes as f64
-            } else {
-                0.0
-            };
             Tuple::new(vec![
                 Value::from(r.name.as_str()),
                 Value::from(r.base.as_str()),
@@ -259,13 +240,6 @@ pub fn relations_relation(rows: &[RelationRow]) -> Relation {
                 int(r.blocks),
                 int(r.zoned_blocks),
                 int(r.stats_epoch),
-                Value::Int(i64::from(r.layout.is_some())),
-                int(layout.columns as u64),
-                int(layout.dict_entries),
-                int(layout.dict_bytes),
-                int(layout.null_count),
-                int(layout.resident_bytes),
-                Value::Double(compression),
             ])
         })
         .collect();

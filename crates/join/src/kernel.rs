@@ -48,22 +48,20 @@
 //!    offset equalities). Still compiled: flat column indices and one
 //!    function-pointer dispatch per predicate, no shape lookups.
 //!
-//! # Vectorized (columnar) evaluation
+//! # Vectorized evaluation
 //!
-//! All three kernels consume *column vectors*, not tuple structs, on
-//! their hot paths. Each reducer input is transposed once — key and
-//! predicate columns are projected into `&[i64]`/`&[f64]` key vectors
-//! (the same typed form `mwtj_storage::columns` stores relations in) —
-//! and the inner loops then run over contiguous typed slices: the hash
-//! plan folds per-column key bits into one 64-bit hash per row, the
-//! band plan sorts typed keys (with an exact `i64` class for
-//! all-integer columns, which no longer bails out on values beyond
-//! ±2⁵³), and the nested loop evaluates predicates through
-//! [`TypedPred`] — rows are gathered only at emit time. Inputs whose
-//! value mix cannot be vectorized exactly fall back to per-pair
-//! [`eval_theta`], so results never change. Columnar-backed callers
-//! (benches, the smoke parity test) can skip the transpose entirely
-//! via [`PairKernel::join_key_slices`].
+//! Relations are stored as rows (`Arc`-shared tuples), but all three
+//! kernels run their hot paths over *key vectors*, not tuple structs.
+//! Each reducer input is transposed once — key and predicate columns
+//! are projected into `&[i64]`/`&[f64]` vectors — and the inner loops
+//! then run over contiguous typed slices: the hash plan folds
+//! per-column key bits into one 64-bit hash per row, the band plan
+//! sorts typed keys (with an exact `i64` class for all-integer
+//! columns, which no longer bails out on values beyond ±2⁵³), and the
+//! nested loop evaluates predicates through [`TypedPred`] — rows are
+//! gathered only at emit time. Inputs whose value mix cannot be
+//! vectorized exactly fall back to per-pair [`eval_theta`], so results
+//! never change.
 //!
 //! All kernels emit matching `(left, right)` index pairs in
 //! left-major input order — exactly the order the naive nested loop
@@ -667,7 +665,7 @@ impl PairKernel {
 
     /// Equality-key hashes for a whole bag of rows, built column-major:
     /// one pass per key column folds that column's [`key_bits`] into
-    /// every row's running hash — the columnar replacement for one
+    /// every row's running hash — the column-major replacement for one
     /// SipHash per row per probe. Consistent with SQL equality,
     /// coarser than it — collisions are filtered by `matches`.
     fn key_hashes(rows: &[&Tuple], cols: impl Iterator<Item = usize>) -> Vec<u64> {
@@ -730,7 +728,7 @@ impl PairKernel {
     }
 
     /// Sort a keyed index vector, first checking whether the keys are
-    /// already in order — columnar inputs are frequently pre-sorted or
+    /// already in order — DFS block inputs are frequently pre-sorted or
     /// clustered, and the O(n) check is cheap against the O(n log n)
     /// sort it skips. Ties may land in any order: the emitted pair
     /// *set* depends only on key values, and the final left-major pair
@@ -941,215 +939,6 @@ impl PairKernel {
         }
     }
 
-    /// Zero-allocation positional band walk for already-sorted key
-    /// accessors: when both sides are non-decreasing under `cmp`, the
-    /// slice positions *are* the sorted order, so the monotone
-    /// boundary walk of [`PairKernel::band_emit`] runs directly over
-    /// them — no index-key vector, no sort, and the pairs come out
-    /// left-major already. Returns `false` without emitting when
-    /// either side is unsorted (caller falls back to the keyed sort
-    /// path).
-    #[allow(clippy::too_many_arguments)]
-    fn band_emit_sorted<K>(
-        ln: usize,
-        rn: usize,
-        lk: impl Fn(usize) -> K,
-        rk: impl Fn(usize) -> K,
-        op: ThetaOp,
-        cmp: impl Fn(&K, &K) -> std::cmp::Ordering + Copy,
-        pairs: &mut Vec<(u32, u32)>,
-    ) -> bool {
-        let sorted = |key: &dyn Fn(usize) -> K, n: usize| {
-            (1..n).all(|i| cmp(&key(i - 1), &key(i)) != std::cmp::Ordering::Greater)
-        };
-        if !sorted(&lk, ln) || !sorted(&rk, rn) {
-            return false;
-        }
-        let suffix = matches!(op, ThetaOp::Lt | ThetaOp::Le);
-        let mut b = 0usize;
-        for li in 0..ln {
-            let k = lk(li);
-            if suffix {
-                while b < rn && !Self::band_holds(op, cmp(&k, &rk(b))) {
-                    b += 1;
-                }
-                for ri in b..rn {
-                    pairs.push((li as u32, ri as u32));
-                }
-            } else {
-                while b < rn && Self::band_holds(op, cmp(&k, &rk(b))) {
-                    b += 1;
-                }
-                for ri in 0..b {
-                    pairs.push((li as u32, ri as u32));
-                }
-            }
-        }
-        true
-    }
-
-    /// Run this kernel directly over the two sides' typed key-column
-    /// slices — the columnar fast path for callers whose relations
-    /// carry a `mwtj_storage::Columns` backing (benches, parity
-    /// harnesses): no tuple gather, no `Value` dispatch in the inner
-    /// loop.
-    ///
-    /// Applicable when the compiled shape is exactly one predicate
-    /// over the given key columns with no shared-relation merge
-    /// constraints — the single-inequality band plan and the
-    /// single-equality hash plan. The slices must be NULL-free (the
-    /// contract under which `Column::as_i64`/`as_f64` hand them out)
-    /// and are taken as *the* key columns; the kernel's compiled
-    /// column indices are not consulted.
-    ///
-    /// Emits exactly the left-major `(left, right)` pairs
-    /// [`PairKernel::join_into`] yields on the gathered rows and
-    /// returns `true`; returns `false` (emitting nothing) when the
-    /// kernel shape needs full rows and the caller must gather.
-    pub fn join_key_slices(
-        &self,
-        left: KeySlice<'_>,
-        right: KeySlice<'_>,
-        pairs: &mut Vec<(u32, u32)>,
-    ) -> bool {
-        use std::cmp::Ordering;
-        if !self.shared.is_empty() || self.preds.len() != 1 {
-            return false;
-        }
-        if left.is_empty() || right.is_empty() {
-            return true;
-        }
-        let base = pairs.len();
-        match &self.plan {
-            Plan::Band {
-                l_off,
-                r_off,
-                op,
-                mode,
-                ..
-            } => {
-                let sql_mode = matches!(mode, BandMode::SqlValue);
-                if let (KeySlice::I64(ls), KeySlice::I64(rs)) = (left, right) {
-                    if sql_mode {
-                        // All-integer class: exact i64 band at any
-                        // magnitude, as in `join_band`. Value-clustered
-                        // slices (the DFS-block regime) take the
-                        // zero-allocation positional walk.
-                        if Self::band_emit_sorted(
-                            ls.len(),
-                            rs.len(),
-                            |i| ls[i],
-                            |i| rs[i],
-                            *op,
-                            Ord::cmp,
-                            pairs,
-                        ) {
-                            return true;
-                        }
-                        let mut lk = Self::index_keys(ls.iter().copied());
-                        let mut rk = Self::index_keys(rs.iter().copied());
-                        Self::sort_keys(&mut lk, Ord::cmp);
-                        Self::sort_keys(&mut rk, Ord::cmp);
-                        Self::band_emit(&lk, &rk, *op, Ord::cmp, pairs);
-                        pairs[base..].sort_unstable();
-                        return true;
-                    }
-                }
-                // f64 class. Int-vs-Double (and offset) comparisons go
-                // through f64 in eval_theta itself, so converting an
-                // i64 slice is value-exact semantics even beyond ±2^53
-                // — the only inexact combination, Int/Int under
-                // sql_cmp, took the branch above. Raw doubles keep
-                // their bits in sql mode (offsets are zero there).
-                let (lo, ro) = (*l_off, *r_off);
-                let lkey = |i: usize| match left {
-                    KeySlice::I64(v) => v[i] as f64 + lo,
-                    KeySlice::F64(v) if sql_mode => v[i],
-                    KeySlice::F64(v) => v[i] + lo,
-                };
-                let rkey = |i: usize| match right {
-                    KeySlice::I64(v) => v[i] as f64 + ro,
-                    KeySlice::F64(v) if sql_mode => v[i],
-                    KeySlice::F64(v) => v[i] + ro,
-                };
-                if Self::band_emit_sorted(
-                    left.len(),
-                    right.len(),
-                    lkey,
-                    rkey,
-                    *op,
-                    f64::total_cmp,
-                    pairs,
-                ) {
-                    return true;
-                }
-                let keyed = |s: KeySlice<'_>, off: f64| match s {
-                    KeySlice::I64(v) => Self::index_keys(v.iter().map(|&x| x as f64 + off)),
-                    KeySlice::F64(v) if sql_mode => Self::index_keys(v.iter().copied()),
-                    KeySlice::F64(v) => Self::index_keys(v.iter().map(|&x| x + off)),
-                };
-                let mut lk = keyed(left, *l_off);
-                let mut rk = keyed(right, *r_off);
-                Self::sort_keys(&mut lk, f64::total_cmp);
-                Self::sort_keys(&mut rk, f64::total_cmp);
-                // No density gate: its row-path fallback (the nested
-                // loop) produces the identical pair set anyway, and
-                // there are no rows here to fall back to.
-                Self::band_emit(&lk, &rk, *op, f64::total_cmp, pairs);
-            }
-            Plan::Hash if self.eq_key.len() == 1 => {
-                // The single predicate is the zero-offset equality the
-                // key came from; over NULL-free typed slices SQL
-                // equality is i64 equality (Int/Int) or total_cmp
-                // equality through the f64 view (any Double involved).
-                let eq = |li: usize, ri: usize| match (left, right) {
-                    (KeySlice::I64(a), KeySlice::I64(b)) => a[li] == b[ri],
-                    _ => left.get_f64(li).total_cmp(&right.get_f64(ri)) == Ordering::Equal,
-                };
-                let bits = |s: KeySlice<'_>, i: usize| match s {
-                    KeySlice::I64(v) => (v[i] as f64).to_bits(),
-                    KeySlice::F64(v) => v[i].to_bits(),
-                };
-                let build_left = left.len() <= right.len();
-                let (b, p) = if build_left {
-                    (left, right)
-                } else {
-                    (right, left)
-                };
-                let mut table: PreHashedMap =
-                    HashMap::with_capacity_and_hasher(b.len(), Default::default());
-                for bi in 0..b.len() {
-                    table
-                        .entry(hash_mix(HASH_SEED, bits(b, bi)))
-                        .or_default()
-                        .push(bi as u32);
-                }
-                for pi in 0..p.len() {
-                    if let Some(bucket) = table.get(&hash_mix(HASH_SEED, bits(p, pi))) {
-                        for &bi in bucket {
-                            let (li, ri) = if build_left {
-                                (bi, pi as u32)
-                            } else {
-                                (pi as u32, bi)
-                            };
-                            if eq(li as usize, ri as usize) {
-                                pairs.push((li, ri));
-                            }
-                        }
-                    }
-                }
-            }
-            _ => return false,
-        }
-        pairs[base..].sort_unstable();
-        true
-    }
-
-    /// Attach ascending `u32` indices to an iterator of keys.
-    fn index_keys<K>(keys: impl Iterator<Item = K>) -> Vec<(K, u32)> {
-        keys.enumerate().map(|(i, k)| (k, i as u32)).collect()
-    }
-
     /// Assemble one output row from a matching pair — the compiled
     /// slice-copy form of [`IntermediateShape::assemble`].
     pub fn assemble(&self, l: &Tuple, r: &Tuple) -> Tuple {
@@ -1159,42 +948,6 @@ impl PairKernel {
             values.extend_from_slice(&src[start..start + len]);
         }
         Tuple::new(values)
-    }
-}
-
-/// A borrowed, NULL-free, typed key column — the slice form
-/// `mwtj_storage::Column::as_i64`/`as_f64` expose when a column has no
-/// NULLs, and the input [`PairKernel::join_key_slices`] consumes.
-#[derive(Debug, Clone, Copy)]
-pub enum KeySlice<'a> {
-    /// 64-bit integer keys.
-    I64(&'a [i64]),
-    /// 64-bit float keys.
-    F64(&'a [f64]),
-}
-
-impl KeySlice<'_> {
-    /// Number of rows in the column.
-    pub fn len(&self) -> usize {
-        match self {
-            KeySlice::I64(s) => s.len(),
-            KeySlice::F64(s) => s.len(),
-        }
-    }
-
-    /// Is the column empty?
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// The f64 view of one key — the representation `sql_cmp` compares
-    /// Int/Double pairs through.
-    #[inline]
-    fn get_f64(&self, i: usize) -> f64 {
-        match self {
-            KeySlice::I64(s) => s[i] as f64,
-            KeySlice::F64(s) => s[i],
-        }
     }
 }
 
@@ -1450,76 +1203,6 @@ mod tests {
         }));
         assert_eq!(got, want);
         assert!(!want.is_empty(), "degenerate test: no matching pairs");
-    }
-
-    /// `join_key_slices` must emit exactly the pairs `join_into` emits
-    /// on the gathered rows, for every supported plan and slice-type
-    /// combination.
-    #[test]
-    fn key_slices_match_gathered_rows() {
-        let ints: Vec<i64> = vec![5, 1, 3, 1i64 << 53, (1i64 << 53) + 1, -9, 3];
-        let doubles: Vec<f64> = vec![2.5, -0.0, 0.0, 1e300, -9.0, 3.0, 2.5];
-        let int_rows = |v: &[i64]| -> Vec<Tuple> { v.iter().map(|&x| tuple![x, 0]).collect() };
-        let dbl_rows = |v: &[f64]| -> Vec<Tuple> { v.iter().map(|&x| tuple![x, 0]).collect() };
-        for op in [
-            ThetaOp::Lt,
-            ThetaOp::Le,
-            ThetaOp::Eq,
-            ThetaOp::Ge,
-            ThetaOp::Gt,
-        ] {
-            let (fast, _) = compile_for(&two_rel_query(op));
-            let cases: Vec<(KeySlice<'_>, KeySlice<'_>, Vec<Tuple>, Vec<Tuple>)> = vec![
-                (
-                    KeySlice::I64(&ints),
-                    KeySlice::I64(&ints[1..]),
-                    int_rows(&ints),
-                    int_rows(&ints[1..]),
-                ),
-                (
-                    KeySlice::F64(&doubles),
-                    KeySlice::F64(&doubles[2..]),
-                    dbl_rows(&doubles),
-                    dbl_rows(&doubles[2..]),
-                ),
-                (
-                    KeySlice::I64(&ints),
-                    KeySlice::F64(&doubles),
-                    int_rows(&ints),
-                    dbl_rows(&doubles),
-                ),
-            ];
-            for (ls, rs, lrows, rrows) in cases {
-                let mut got = Vec::new();
-                assert!(
-                    fast.join_key_slices(ls, rs, &mut got),
-                    "{op}: slice path refused {ls:?} × {rs:?}"
-                );
-                let want = join_pairs(&fast, &lrows, &rrows);
-                assert_eq!(got, want, "{op} over {ls:?} × {rs:?}");
-            }
-        }
-        // Offset band (Numeric mode): l.a + 3 > r.a.
-        let s = |n: &str| Schema::from_pairs(n, &[("a", DataType::Int), ("b", DataType::Int)]);
-        let q = QueryBuilder::new("q")
-            .relation(s("l"))
-            .relation(s("r"))
-            .join_expr(
-                ColExpr::col_plus("l", "a", 3.0),
-                ThetaOp::Gt,
-                ColExpr::col("r", "a"),
-            )
-            .build()
-            .unwrap();
-        let (band, _) = compile_for(&q);
-        assert_eq!(band.kind(), KernelKind::Band);
-        let mut got = Vec::new();
-        assert!(band.join_key_slices(KeySlice::I64(&ints), KeySlice::F64(&doubles), &mut got));
-        let want = join_pairs(&band, &int_rows(&ints), &dbl_rows(&doubles));
-        assert_eq!(got, want);
-        // Nested plans have no slice form.
-        let (nested, _) = compile_for(&two_rel_query(ThetaOp::Ne));
-        assert!(!nested.join_key_slices(KeySlice::I64(&ints), KeySlice::I64(&ints), &mut got));
     }
 
     #[test]

@@ -34,7 +34,7 @@ pub mod shape;
 mod skip;
 
 pub use chain::ChainThetaJob;
-pub use kernel::{KernelKind, KeySlice, PairKernel};
+pub use kernel::{KernelKind, PairKernel};
 pub use oracle::oracle_join;
 pub use pair::{PairJob, PairStrategy};
 pub use shape::IntermediateShape;

@@ -120,16 +120,10 @@ impl Dfs {
         let mut blocks: Vec<Block> = Vec::new();
         let mut cur: Vec<Tuple> = Vec::new();
         let mut cur_bytes = 0usize;
-        // Rows already sealed into blocks — with a columnar backing,
-        // block `blocks.len()` covers rows `sealed .. sealed+cur.len()`
-        // and its zones come from one typed pass over the column
-        // vectors instead of a per-tuple value walk.
-        let mut sealed = 0usize;
         for row in rel.rows() {
             let len = row.encoded_len();
             if cur_bytes + len > block_bytes && !cur.is_empty() {
                 let z = reuse.as_ref().and_then(|v| v.get(blocks.len()));
-                sealed += cur.len();
                 blocks.push(Self::seal_block(
                     &mut cur,
                     &mut cur_bytes,
@@ -138,7 +132,6 @@ impl Dfs {
                     &mut rng,
                     arity,
                     z,
-                    rel.columns().map(|c| (c.as_ref(), sealed)),
                 ));
             }
             cur_bytes += len;
@@ -146,7 +139,6 @@ impl Dfs {
         }
         if !cur.is_empty() || blocks.is_empty() {
             let z = reuse.as_ref().and_then(|v| v.get(blocks.len()));
-            sealed += cur.len();
             blocks.push(Self::seal_block(
                 &mut cur,
                 &mut cur_bytes,
@@ -155,7 +147,6 @@ impl Dfs {
                 &mut rng,
                 arity,
                 z,
-                rel.columns().map(|c| (c.as_ref(), sealed)),
             ));
         }
         // Base loads (re)register their zones under the logical name;
@@ -184,7 +175,6 @@ impl Dfs {
         per_node_bytes / config.hardware.disk_write_bps
     }
 
-    #[allow(clippy::too_many_arguments)]
     fn seal_block(
         cur: &mut Vec<Tuple>,
         cur_bytes: &mut usize,
@@ -193,9 +183,6 @@ impl Dfs {
         rng: &mut impl Rng,
         arity: usize,
         reuse: Option<&Arc<BlockZones>>,
-        // The relation's columnar backing plus this block's *end* row
-        // index (the block covers `end - cur.len() .. end`).
-        columnar: Option<(&mwtj_storage::Columns, usize)>,
     ) -> Block {
         let k = (config.params.replication as usize).min(nodes.len().max(1));
         let mut choice: Vec<u32> = nodes.to_vec();
@@ -206,17 +193,7 @@ impl Dfs {
             // Belt and braces: a reused map must describe a block of
             // exactly this shape.
             Some(z) if z.rows == rows.len() as u64 => Arc::clone(z),
-            // Columnar backing: one typed min/max pass per column
-            // vector (bit-identical to `BlockZones::collect`, pinned
-            // by storage tests).
-            _ => match columnar {
-                Some((cols, end))
-                    if end >= rows.len() && end <= cols.len() && cols.arity() == arity =>
-                {
-                    Arc::new(cols.zones_for(end - rows.len()..end))
-                }
-                _ => Arc::new(BlockZones::collect(&rows, arity)),
-            },
+            _ => Arc::new(BlockZones::collect(&rows, arity)),
         };
         Block {
             rows,
@@ -297,49 +274,6 @@ mod tests {
             .map(|i| tuple![i as i64, format!("row-{i:06}")])
             .collect();
         Relation::from_rows_unchecked(schema, rows)
-    }
-
-    /// A columnar-backed relation must produce block-for-block
-    /// identical zone maps (and placement) to the same relation forced
-    /// row-major — the skip subsystem cannot observe the storage
-    /// layout.
-    #[test]
-    fn columnar_backing_yields_identical_zones() {
-        let mut cfg = ClusterConfig::default();
-        cfg.params.block_bytes = 4096; // force a multi-block split
-        let schema = Schema::from_pairs("t", &[("a", DataType::Int), ("b", DataType::Double)]);
-        let rows: Vec<Tuple> = (0..5_000)
-            .map(|i| {
-                let a = if i % 97 == 0 {
-                    mwtj_storage::Value::Null
-                } else if i % 41 == 0 {
-                    mwtj_storage::Value::Int((1i64 << 53) + i)
-                } else {
-                    mwtj_storage::Value::Int(i * 7 % 1000)
-                };
-                let b = if i % 53 == 0 {
-                    mwtj_storage::Value::Double(-0.0)
-                } else {
-                    mwtj_storage::Value::Double(i as f64 / 3.0)
-                };
-                Tuple::new(vec![a, b])
-            })
-            .collect();
-        let r = Relation::from_rows(schema, rows).unwrap();
-        let columnar = r.with_columnar();
-        assert!(columnar.columns().is_some());
-        let row_major = columnar.without_columns();
-        let (d1, d2) = (Dfs::new(), Dfs::new());
-        d1.put_relation("t", &columnar, &cfg);
-        d2.put_relation("t", &row_major, &cfg);
-        let (f1, f2) = (d1.get("t").unwrap(), d2.get("t").unwrap());
-        assert_eq!(f1.blocks.len(), f2.blocks.len());
-        assert!(f1.blocks.len() > 1, "want a multi-block split");
-        for (b1, b2) in f1.blocks.iter().zip(&f2.blocks) {
-            assert_eq!(b1.rows, b2.rows);
-            assert_eq!(b1.replicas, b2.replicas);
-            assert_eq!(format!("{:?}", b1.zones), format!("{:?}", b2.zones));
-        }
     }
 
     #[test]

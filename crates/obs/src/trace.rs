@@ -106,7 +106,6 @@ impl SpanRecord {
 pub struct Span {
     stage: String,
     started: Instant,
-    sim_secs: Option<f64>,
     meta: Vec<(String, String)>,
     children: Vec<SpanRecord>,
 }
@@ -117,7 +116,6 @@ impl Span {
         Span {
             stage: stage.to_string(),
             started: Instant::now(),
-            sim_secs: None,
             meta: Vec::new(),
             children: Vec::new(),
         }
@@ -126,11 +124,6 @@ impl Span {
     /// Attach a `key=value` annotation.
     pub fn meta(&mut self, key: &str, value: impl std::fmt::Display) {
         self.meta.push((key.to_string(), value.to_string()));
-    }
-
-    /// Attach the simulated-clock duration of this stage.
-    pub fn set_sim_secs(&mut self, secs: f64) {
-        self.sim_secs = Some(secs);
     }
 
     /// Nest a finished child stage.
@@ -143,7 +136,7 @@ impl Span {
         SpanRecord {
             stage: self.stage,
             wall_ms: self.started.elapsed().as_secs_f64() * 1e3,
-            sim_secs: self.sim_secs,
+            sim_secs: None,
             meta: self.meta,
             children: self.children,
         }

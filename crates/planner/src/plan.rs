@@ -470,21 +470,6 @@ impl Planner {
         })
     }
 
-    /// The `k_P` slice a query will actually occupy when planned
-    /// against a `k_p`-unit cluster, plus its predicted makespan (the
-    /// Eq. 2 estimate the admission controller prices against the
-    /// shared budget). Shorthand for [`Planner::plan_query`] when the
-    /// caller does not keep the artifact.
-    pub fn estimate_units(
-        &self,
-        query: &MultiwayQuery,
-        stats: &[&RelationStats],
-        k_p: u32,
-    ) -> Result<(u32, f64), PlanError> {
-        let plan = self.plan_query(query, stats, k_p)?;
-        Ok((plan.units, plan.predicted_secs()))
-    }
-
     /// Rough cost of folding the chosen candidates' outputs together:
     /// walk the same largest-overlap merge order the executor uses,
     /// upper-bounding each join's output by the containment bound
@@ -560,31 +545,6 @@ impl Planner {
     ) -> QueryRun {
         self.try_execute_ours(query, stats, cluster, &ExecOptions::default())
             .unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// Like [`Planner::execute_ours`] but with an explicit partition
-    /// strategy (the grid variant is the ablation baseline).
-    ///
-    /// # Panics
-    /// Panics on planning or execution failure; prefer
-    /// [`Planner::try_execute_ours`] on serving paths.
-    pub fn execute_ours_with(
-        &self,
-        query: &MultiwayQuery,
-        stats: &[&RelationStats],
-        cluster: &Cluster,
-        strategy: PartitionStrategy,
-    ) -> QueryRun {
-        self.try_execute_ours(
-            query,
-            stats,
-            cluster,
-            &ExecOptions {
-                strategy,
-                ..ExecOptions::default()
-            },
-        )
-        .unwrap_or_else(|e| panic!("{e}"))
     }
 
     /// Plan and execute with the paper's method, returning a typed

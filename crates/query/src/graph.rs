@@ -142,11 +142,6 @@ impl JoinGraph {
         id
     }
 
-    /// Vertex id of a relation name.
-    pub fn vertex_of(&self, relation: &str) -> Option<usize> {
-        self.relations.iter().position(|r| r == relation)
-    }
-
     /// Adjacency: `(edge id, other endpoint)` pairs per vertex.
     pub fn adjacency(&self) -> Vec<Vec<(usize, usize)>> {
         let mut adj = vec![Vec::new(); self.relations.len()];

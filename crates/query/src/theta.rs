@@ -186,12 +186,6 @@ impl Predicate {
     pub fn new(left: ColExpr, op: ThetaOp, right: ColExpr) -> Self {
         Predicate { left, op, right }
     }
-
-    /// Evaluate against two values already projected from the two sides.
-    /// NULLs and incomparable types yield `false` (SQL semantics).
-    pub fn eval_values(&self, lhs: &Value, rhs: &Value) -> bool {
-        eval_theta(lhs, self.left.offset, self.op, rhs, self.right.offset)
-    }
 }
 
 /// Core theta evaluation: `(lhs + l_off) op (rhs + r_off)`, where offsets

@@ -1,8 +1,8 @@
 //! `mwtj-server`: the long-lived query server binary.
 //!
 //! ```text
-//! mwtj-server [--listen ADDR] [--units K] [--max-queue N] [--slow-query-ms MS] [--demo] [--row-major]
-//! mwtj-server --stdin [--units K] [--max-queue N] [--slow-query-ms MS] [--demo] [--row-major]
+//! mwtj-server [--listen ADDR] [--units K] [--max-queue N] [--slow-query-ms MS] [--demo]
+//! mwtj-server --stdin [--units K] [--max-queue N] [--slow-query-ms MS] [--demo]
 //! mwtj-server client [--stream] ADDR REQUEST...
 //! ```
 //!
@@ -37,15 +37,12 @@ struct Args {
     slow_query_ms: u64,
     demo: bool,
     stdin: bool,
-    /// Force row-major relation storage (columnar backing off) — the
-    /// layout-parity half of the columnar smoke test.
-    row_major: bool,
 }
 
 fn usage() -> ! {
     eprintln!(
         "usage: mwtj-server [--listen ADDR] [--units K] [--max-queue N] \
-         [--slow-query-ms MS] [--demo] [--stdin] [--row-major]\n\
+         [--slow-query-ms MS] [--demo] [--stdin]\n\
          \x20      mwtj-server client [--stream] ADDR REQUEST...\n\
          \x20      mwtj-server client --prepare [--stream] [--params V1,V2,...] ADDR SQL...\n\
          \x20      mwtj-server client --history [N] ADDR\n\
@@ -62,7 +59,6 @@ fn parse_args(args: &[String]) -> Args {
         slow_query_ms: 0,
         demo: false,
         stdin: false,
-        row_major: false,
     };
     let mut it = args.iter();
     while let Some(arg) = it.next() {
@@ -89,7 +85,6 @@ fn parse_args(args: &[String]) -> Args {
             }
             "--demo" => out.demo = true,
             "--stdin" => out.stdin = true,
-            "--row-major" => out.row_major = true,
             "--help" | "-h" => usage(),
             _ => usage(),
         }
@@ -104,8 +99,6 @@ fn build_engine(args: &Args) -> Engine {
     };
     let engine = Engine::with_units_and_policy(args.units, policy);
     engine.set_slow_query_ms(args.slow_query_ms);
-    // Layout must be set before --demo loads anything.
-    engine.set_columnar_storage(!args.row_major);
     if args.demo {
         load_demo(&engine);
         eprintln!("loaded demo relations: r, s, t (columns a:int, b:int)");

@@ -464,34 +464,8 @@ fn handle_request(engine: &Engine, stmts: &mut StmtTable, request: Request) -> (
                 ("epoch", snap.epoch.to_string()),
                 ("storage_relations", snap.storage.relations.to_string()),
                 (
-                    "storage_columnar",
-                    snap.storage.columnar_relations.to_string(),
-                ),
-                ("storage_columns", snap.storage.columns.to_string()),
-                (
-                    "storage_dict_entries",
-                    snap.storage.dict_entries.to_string(),
-                ),
-                ("storage_dict_bytes", snap.storage.dict_bytes.to_string()),
-                ("storage_null_values", snap.storage.null_values.to_string()),
-                (
-                    "storage_resident_bytes",
-                    snap.storage.resident_bytes.to_string(),
-                ),
-                (
                     "storage_encoded_bytes",
                     snap.storage.encoded_bytes.to_string(),
-                ),
-                (
-                    "storage_compression",
-                    format!(
-                        "{:.6}",
-                        if snap.storage.resident_bytes > 0 {
-                            snap.storage.encoded_bytes as f64 / snap.storage.resident_bytes as f64
-                        } else {
-                            0.0
-                        }
-                    ),
                 ),
             ];
             (ok_response(&fields, None), Action::Continue)
@@ -867,11 +841,5 @@ impl Client {
             frames.push(f.to_string())
         })?;
         Ok(frames)
-    }
-
-    /// The raw stream (tests use it to simulate rude disconnects and
-    /// malformed frames).
-    pub fn stream_mut(&mut self) -> &mut TcpStream {
-        &mut self.stream
     }
 }

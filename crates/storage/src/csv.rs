@@ -6,10 +6,10 @@
 //! NULLs as empty fields) and writes results back out. RFC-4180-style
 //! quoting is supported on both paths.
 
-use crate::columns::Columns;
 use crate::error::{Error, Result};
 use crate::relation::Relation;
 use crate::schema::{DataType, Schema};
+use crate::tuple::Tuple;
 use crate::value::Value;
 use std::fmt::Write as _;
 
@@ -17,17 +17,11 @@ use std::fmt::Write as _;
 /// may be a header (matched case-insensitively against the schema's
 /// column names and skipped); empty fields become NULL. Records are
 /// split on newlines *outside* RFC-4180 quotes, so quoted string
-/// values spanning lines (which [`to_csv`] emits) round-trip.
-///
-/// Ingest streams straight into columnar builders: each parsed record
-/// is appended to typed column vectors (strings dictionary-interned on
-/// the way in, so repeated values share one allocation), and the
-/// returned relation carries the columnar backing with the row-major
-/// tuples gathered from it — bit-identical to what per-row parsing
-/// produced before.
+/// values spanning lines (which [`to_csv`] emits) round-trip. Every
+/// field is parsed as its column's type, and the rows are validated
+/// against the schema once more as the relation is built.
 pub fn parse_csv(schema: &Schema, text: &str) -> Result<Relation> {
-    let types: Vec<DataType> = schema.fields().iter().map(|f| f.data_type).collect();
-    let mut builder = Columns::builder(types);
+    let mut rows = Vec::new();
     let mut lines = split_records(text).into_iter().enumerate().peekable();
     // Header detection: every field equals a column name.
     if let Some(&(_, first)) = lines.peek() {
@@ -61,9 +55,9 @@ pub fn parse_csv(schema: &Schema, text: &str) -> Result<Relation> {
         for (field, col) in fields.iter().zip(schema.fields()) {
             values.push(parse_field(field, col.data_type, lineno)?);
         }
-        builder.push_row(&values)?;
+        rows.push(Tuple::new(values));
     }
-    Ok(Relation::from_columns(schema.clone(), builder.finish()))
+    Relation::from_rows(schema.clone(), rows)
 }
 
 /// Render a relation as CSV with a header line.
@@ -285,17 +279,6 @@ mod tests {
         assert!(parse_csv(&schema(), "1,\"oops,1.0\n").is_err());
         // Stray quote.
         assert!(parse_csv(&schema(), "1,a\"b,1.0\n").is_err());
-    }
-
-    #[test]
-    fn ingest_builds_columnar_backing() {
-        let rel = parse_csv(&schema(), "1,x,2.0\n2,x,3.0\n3,,\n").unwrap();
-        let cols = rel.columns().expect("csv ingest is columnar");
-        assert_eq!(cols.len(), 3);
-        assert_eq!(cols.gather_rows(), rel.rows());
-        let l = rel.layout().unwrap();
-        assert_eq!(l.dict_entries, 1); // "x" interned once
-        assert_eq!(l.null_count, 2);
     }
 
     #[test]

@@ -16,7 +16,6 @@
 #![warn(missing_docs)]
 
 pub mod codec;
-pub mod columns;
 pub mod csv;
 pub mod error;
 pub mod relation;
@@ -27,7 +26,6 @@ pub mod value;
 pub mod zones;
 
 pub use codec::{decode_tuple, encode_tuple, encoded_len};
-pub use columns::{Column, ColumnData, ColumnarLayout, Columns, ColumnsBuilder, Dictionary};
 pub use csv::{parse_csv, to_csv};
 pub use error::{Error, Result};
 pub use relation::Relation;

@@ -1,9 +1,6 @@
 //! In-memory relations: a schema plus a vector of tuples, with byte-exact
-//! size accounting for the DFS and cost model — and, for loaded
-//! relations, a columnar backing (see [`crate::columns`]) that the
-//! zone/stat derivations and vectorized kernels consume.
+//! size accounting for the DFS and cost model.
 
-use crate::columns::{ColumnarLayout, Columns};
 use crate::error::Result;
 use crate::schema::Schema;
 use crate::tuple::Tuple;
@@ -17,22 +14,12 @@ use std::sync::Arc;
 /// via [`Relation::rename`], the self-join alias path — shares the row
 /// storage instead of deep-copying it. Mutation ([`Relation::push`])
 /// copies-on-write when the rows are shared.
-///
-/// A relation may additionally carry a columnar backing
-/// ([`Relation::columns`]): typed column vectors holding exactly the
-/// same data. The backing is advisory — row-major consumers are
-/// unaffected — but zone maps, load-time statistics and the vectorized
-/// kernel entry points read it when present. [`Relation::rename`]
-/// shares it; [`Relation::push`] drops it (the appended row would not
-/// be in the columns).
 #[derive(Debug, Clone)]
 pub struct Relation {
     schema: Schema,
     rows: Arc<Vec<Tuple>>,
     /// Cached sum of encoded row lengths, maintained on push.
     encoded_bytes: usize,
-    /// Columnar backing holding the same data, when built.
-    columns: Option<Arc<Columns>>,
 }
 
 impl Relation {
@@ -42,7 +29,6 @@ impl Relation {
             schema,
             rows: Arc::new(Vec::new()),
             encoded_bytes: 0,
-            columns: None,
         }
     }
 
@@ -61,7 +47,6 @@ impl Relation {
             schema,
             rows: Arc::new(rows),
             encoded_bytes,
-            columns: None,
         })
     }
 
@@ -75,89 +60,26 @@ impl Relation {
             schema,
             rows: Arc::new(rows),
             encoded_bytes,
-            columns: None,
-        }
-    }
-
-    /// Create a relation from sealed columns, gathering the row-major
-    /// tuples once and keeping the columnar backing attached — the CSV
-    /// ingest path (columns are built streaming, rows follow).
-    pub fn from_columns(schema: Schema, columns: Columns) -> Self {
-        debug_assert_eq!(schema.arity(), columns.arity());
-        let rows = columns.gather_rows();
-        let encoded_bytes = rows.iter().map(Tuple::encoded_len).sum();
-        Relation {
-            schema,
-            rows: Arc::new(rows),
-            encoded_bytes,
-            columns: Some(Arc::new(columns)),
         }
     }
 
     /// The same rows under another schema name (self-join instances
-    /// `t1`, `t2`, … of one base table). Row storage — and the columnar
-    /// backing, which is schema-name agnostic — is shared, not copied.
+    /// `t1`, `t2`, … of one base table). Row storage is shared, not
+    /// copied.
     pub fn rename(&self, name: &str) -> Self {
         Relation {
             schema: Schema::new(name, self.schema.fields().to_vec()),
             rows: Arc::clone(&self.rows),
             encoded_bytes: self.encoded_bytes,
-            columns: self.columns.clone(),
         }
     }
 
-    /// Append a row, validating against the schema. Drops the columnar
-    /// backing, if any (it no longer covers every row).
+    /// Append a row, validating against the schema.
     pub fn push(&mut self, row: Tuple) -> Result<()> {
         self.schema.check(row.values())?;
         self.encoded_bytes += row.encoded_len();
-        self.columns = None;
         Arc::make_mut(&mut self.rows).push(row);
         Ok(())
-    }
-
-    /// A copy of this relation carrying a columnar backing, built from
-    /// the rows if not already present. Rows that do not inhabit the
-    /// declared schema types (possible via
-    /// [`Relation::from_rows_unchecked`]) cannot be transposed; the
-    /// copy is then returned without a backing, exactly as before —
-    /// columnar storage is an accelerator, never a gate.
-    pub fn with_columnar(&self) -> Self {
-        if self.columns.is_some() {
-            return self.clone();
-        }
-        let types: Vec<_> = self.schema.fields().iter().map(|f| f.data_type).collect();
-        match Columns::from_rows(types, &self.rows) {
-            Ok(cols) => Relation {
-                schema: self.schema.clone(),
-                rows: Arc::clone(&self.rows),
-                encoded_bytes: self.encoded_bytes,
-                columns: Some(Arc::new(cols)),
-            },
-            Err(_) => self.clone(),
-        }
-    }
-
-    /// A copy of this relation with the columnar backing stripped —
-    /// the forced row-major form used by differential tests and the
-    /// smoke script's parity run.
-    pub fn without_columns(&self) -> Self {
-        Relation {
-            schema: self.schema.clone(),
-            rows: Arc::clone(&self.rows),
-            encoded_bytes: self.encoded_bytes,
-            columns: None,
-        }
-    }
-
-    /// The columnar backing, when built.
-    pub fn columns(&self) -> Option<&Arc<Columns>> {
-        self.columns.as_ref()
-    }
-
-    /// Storage-layout summary of the columnar backing, when built.
-    pub fn layout(&self) -> Option<ColumnarLayout> {
-        self.columns.as_ref().map(|c| c.layout())
     }
 
     /// The schema.
@@ -287,51 +209,5 @@ mod tests {
         assert!(r.is_empty());
         assert_eq!(r.avg_row_bytes(), 0.0);
         assert_eq!(r.encoded_bytes(), 0);
-    }
-
-    #[test]
-    fn columnar_backing_round_trips_and_follows_ops() {
-        let rows = vec![tuple![1, "x"], tuple![2, "x"], tuple![3, "y"]];
-        let r = Relation::from_rows(schema(), rows.clone()).unwrap();
-        assert!(r.columns().is_none());
-        let c = r.with_columnar();
-        let cols = c.columns().expect("backing built");
-        assert_eq!(cols.gather_rows(), rows);
-        assert_eq!(c.rows(), r.rows());
-        assert_eq!(c.encoded_bytes(), r.encoded_bytes());
-        // rename shares the backing; push drops it; strip removes it.
-        let renamed = c.rename("t2");
-        assert!(renamed.columns().is_some());
-        assert_eq!(renamed.name(), "t2");
-        let mut pushed = c.clone();
-        pushed.push(tuple![4, "z"]).unwrap();
-        assert!(pushed.columns().is_none());
-        assert!(c.without_columns().columns().is_none());
-        // layout reports the dictionary.
-        let l = c.layout().unwrap();
-        assert_eq!(l.columns, 2);
-        assert_eq!(l.dict_entries, 2);
-    }
-
-    #[test]
-    fn from_columns_gathers_identical_rows() {
-        let rows = vec![tuple![7, "abc"], tuple![8, "abc"]];
-        let types = vec![DataType::Int, DataType::Str];
-        let cols = Columns::from_rows(types, &rows).unwrap();
-        let r = Relation::from_columns(schema(), cols);
-        assert_eq!(r.rows(), &rows[..]);
-        let expect: usize = rows.iter().map(Tuple::encoded_len).sum();
-        assert_eq!(r.encoded_bytes(), expect);
-        assert!(r.columns().is_some());
-    }
-
-    #[test]
-    fn with_columnar_skips_ill_typed_unchecked_rows() {
-        // from_rows_unchecked can violate the declared types; the
-        // columnar transpose must decline, not fail.
-        let r = Relation::from_rows_unchecked(schema(), vec![tuple!["oops", 1]]);
-        let c = r.with_columnar();
-        assert!(c.columns().is_none());
-        assert_eq!(c.rows(), r.rows());
     }
 }

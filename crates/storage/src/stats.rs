@@ -54,11 +54,6 @@ impl<T> Sampler<T> {
     pub fn sample(&self) -> &[T] {
         &self.reservoir
     }
-
-    /// Consume into the sample.
-    pub fn into_sample(self) -> Vec<T> {
-        self.reservoir
-    }
 }
 
 /// Equi-depth histogram over sampled numeric values.
@@ -174,8 +169,7 @@ impl RelationStats {
     /// consumes the rng identically for any item type, so the sampled
     /// index set (and hence every statistic) is bit-identical to the
     /// historical row-cloning pass — and the per-column aggregation
-    /// then reads the sampled slots through the relation's columnar
-    /// backing when present, instead of re-walking tuple structs.
+    /// then reads the sampled slots by index.
     pub fn collect(rel: &Relation, sample_cap: usize, rng: &mut impl Rng) -> Self {
         let mut sampler = Sampler::new(sample_cap.max(1));
         for i in 0..rel.len() {
@@ -183,17 +177,13 @@ impl RelationStats {
         }
         let sample = sampler.sample();
         let n_sample = sample.len();
-        let columnar = rel.columns();
         let mut columns = Vec::with_capacity(rel.schema().arity());
         for (ci, field) in rel.schema().fields().iter().enumerate() {
             let mut numerics = Vec::with_capacity(n_sample);
             let mut nulls = 0usize;
             let mut distinct: HashSet<Value> = HashSet::with_capacity(n_sample);
             for &ri in sample {
-                let v = match columnar {
-                    Some(cols) => cols.column(ci).value(ri),
-                    None => rel.rows()[ri].get(ci).clone(),
-                };
+                let v = rel.rows()[ri].get(ci).clone();
                 if v.is_null() {
                     nulls += 1;
                     continue;
@@ -345,43 +335,6 @@ mod tests {
         let v = st.column("v").unwrap();
         // v has 10 distinct values; the sample sees all of them.
         assert!(v.distinct_estimate <= 20.0, "{}", v.distinct_estimate);
-    }
-
-    #[test]
-    fn columnar_and_row_major_stats_are_bit_identical() {
-        let schema = Schema::from_pairs(
-            "t",
-            &[
-                ("k", DataType::Int),
-                ("d", DataType::Double),
-                ("s", DataType::Str),
-            ],
-        );
-        let rows: Vec<_> = (0..500)
-            .map(|i| {
-                let s = format!("tag{}", i % 7);
-                if i % 11 == 0 {
-                    crate::Tuple::new(vec![
-                        crate::Value::Null,
-                        crate::Value::Double(-0.0),
-                        crate::Value::from(s.as_str()),
-                    ])
-                } else {
-                    tuple![i as i64, i as f64 / 3.0, s.as_str()]
-                }
-            })
-            .collect();
-        let row_major = Relation::from_rows_unchecked(schema, rows);
-        let columnar = row_major.with_columnar();
-        assert!(columnar.columns().is_some());
-        let a = RelationStats::collect(&row_major, 200, &mut StdRng::seed_from_u64(99));
-        let b = RelationStats::collect(&columnar, 200, &mut StdRng::seed_from_u64(99));
-        assert_eq!(format!("{a:?}"), format!("{b:?}"));
-        for (ca, cb) in a.columns.iter().zip(&b.columns) {
-            let bits = |xs: &[f64]| xs.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
-            assert_eq!(bits(&ca.sample), bits(&cb.sample));
-            assert_eq!(bits(ca.histogram.bounds()), bits(cb.histogram.bounds()));
-        }
     }
 
     #[test]
