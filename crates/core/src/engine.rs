@@ -2087,12 +2087,14 @@ fn job_record(m: &JobMetrics) -> JobRecord {
     }
 }
 
-/// A per-job profile node reconstructed from one [`JobMetrics`]: the
+/// A per-job profile node reconstructed from one [`JobMetrics`]. The
+/// job's `wall_ms` is its measured host time (`real_secs`). The
 /// simulated map/shuffle/reduce phase durations are derived from the
 /// recorded phase-end clocks (the shuffle overlaps the map as in the
 /// paper's Fig. 3, so each phase is charged its tail past the
-/// previous phase's end), never measured separately — so building the
-/// profile cannot perturb the run.
+/// previous phase's end); the phases have no host timing of their own
+/// yet, so their `wall_ms` stays 0. Building the profile cannot
+/// perturb the run.
 fn job_span(index: usize, m: &JobMetrics) -> SpanRecord {
     let map_secs = m.sim_map_end_secs;
     let shuffle_secs = (m.sim_shuffle_end_secs - m.sim_map_end_secs).max(0.0);
@@ -2102,6 +2104,7 @@ fn job_span(index: usize, m: &JobMetrics) -> SpanRecord {
         .with_meta("name", &m.name)
         .with_meta("units", m.units)
         .with_meta("output_rows", m.output_records);
+    job.wall_ms = m.real_secs * 1e3;
     if m.real_map_retries + m.real_reduce_retries > 0 {
         job = job.with_meta("retries", m.real_map_retries + m.real_reduce_retries);
     }

@@ -335,6 +335,31 @@ mod tests {
         assert_eq!(engine.scheduler().stats().admitted, 1);
     }
 
+    /// A job's profile node carries its measured host time, not the
+    /// synthetic zero its map/shuffle/reduce children still report.
+    #[test]
+    fn explain_analyze_reports_real_job_wall_time() {
+        let engine = demo_engine();
+        let report = engine
+            .explain_sql(
+                "q",
+                &format!("EXPLAIN ANALYZE {SQL}"),
+                &RunOptions::default(),
+            )
+            .unwrap();
+        let run = report.analyzed.as_ref().unwrap();
+        let job0 = run.profile().unwrap().find("job0").expect("job0 span");
+        assert!(job0.wall_ms > 0.0, "job0 wall_ms={}", job0.wall_ms);
+        assert_eq!(job0.wall_ms, run.jobs[0].real_secs * 1e3);
+        let line = report
+            .render()
+            .lines()
+            .find(|l| l.trim_start().starts_with("job0 wall_ms="))
+            .map(str::to_string)
+            .expect("job0 line");
+        assert!(!line.contains("job0 wall_ms=0.000 "), "{line}");
+    }
+
     /// On a warm query (plan cached, skip fraction recorded), plain
     /// `EXPLAIN` and `EXPLAIN ANALYZE` report the same admission
     /// request: the skip-discounted Eq. 2 units, not the planner's

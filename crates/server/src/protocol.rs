@@ -6,7 +6,8 @@
 //! is the command; the remaining lines are its body (SQL for `run`,
 //! CSV rows for `load`). Responses use the same framing: the first
 //! line starts with `ok` or `err`, followed by `key=value` tokens, and
-//! the body carries row data.
+//! the body carries row data. A frame goes out in one write on a
+//! `TCP_NODELAY` socket (see [`write_frame`]).
 //!
 //! Commands also parse from a *single* line (the `--stdin` CLI mode
 //! and the one-shot `client` subcommand), with the body inlined after
@@ -103,7 +104,12 @@ use std::io::{self, Read, Write};
 /// hostile or corrupt length prefix).
 pub const MAX_FRAME_BYTES: u32 = 8 * 1024 * 1024;
 
-/// Write one frame.
+/// Write one frame as a single `write_all` of prefix + payload. Two
+/// writes (prefix, then payload) on a socket form the write–write–read
+/// pattern: Nagle holds the payload until the prefix is ACKed, and a
+/// delayed-ACK peer stalls every round trip by ~40 ms. An over-limit
+/// payload is refused before any byte is written, so the stream stays
+/// in sync.
 pub fn write_frame(w: &mut impl Write, payload: &str) -> io::Result<()> {
     let bytes = payload.as_bytes();
     if bytes.len() as u64 > MAX_FRAME_BYTES as u64 {
@@ -112,8 +118,10 @@ pub fn write_frame(w: &mut impl Write, payload: &str) -> io::Result<()> {
             format!("frame of {} bytes exceeds MAX_FRAME_BYTES", bytes.len()),
         ));
     }
-    w.write_all(&(bytes.len() as u32).to_be_bytes())?;
-    w.write_all(bytes)?;
+    let mut frame = Vec::with_capacity(4 + bytes.len());
+    frame.extend_from_slice(&(bytes.len() as u32).to_be_bytes());
+    frame.extend_from_slice(bytes);
+    w.write_all(&frame)?;
     w.flush()
 }
 
@@ -693,6 +701,39 @@ mod tests {
         assert_eq!(read_frame(&mut r).unwrap().as_deref(), Some("hello\nworld"));
         assert_eq!(read_frame(&mut r).unwrap().as_deref(), Some(""));
         assert_eq!(read_frame(&mut r).unwrap(), None, "clean EOF");
+    }
+
+    /// A `Write` that counts `write` calls and accepts every byte.
+    #[derive(Default)]
+    struct CountingWriter {
+        writes: usize,
+        bytes: usize,
+    }
+
+    impl Write for CountingWriter {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            self.writes += 1;
+            self.bytes += buf.len();
+            Ok(buf.len())
+        }
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn each_frame_is_one_write_call() {
+        for len in [0usize, 20, 1 << 20] {
+            let mut w = CountingWriter::default();
+            write_frame(&mut w, &"x".repeat(len)).unwrap();
+            assert_eq!(w.writes, 1, "{len}-byte frame");
+            assert_eq!(w.bytes, 4 + len);
+        }
+        let mut w = CountingWriter::default();
+        let over = "x".repeat(MAX_FRAME_BYTES as usize + 1);
+        let err = write_frame(&mut w, &over).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidInput);
+        assert_eq!(w.writes, 0, "an over-limit frame writes nothing");
     }
 
     #[test]

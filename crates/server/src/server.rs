@@ -129,21 +129,21 @@ impl Server {
         while !self.shutdown.load(Ordering::SeqCst) {
             match self.listener.accept() {
                 Ok((stream, _peer)) => {
-                    stream.set_nonblocking(false)?;
                     let conn_id = next_conn;
                     next_conn += 1;
-                    match stream.try_clone() {
+                    match prepare_accepted(&stream) {
                         Ok(clone) => {
                             conns
                                 .lock()
                                 .unwrap_or_else(|e| e.into_inner())
                                 .insert(conn_id, clone);
                         }
-                        // Without a registered clone the drain path
-                        // could never unblock this connection's parked
-                        // read, and shutdown would hang on the join —
-                        // refuse the connection instead (fd pressure is
-                        // the likely cause anyway).
+                        // A socket-setup failure refuses only this
+                        // connection (dropping the stream closes it).
+                        // Without a registered clone in particular, the
+                        // drain path could never unblock its parked
+                        // read and shutdown would hang on the join (fd
+                        // pressure is the likely cause anyway).
                         Err(_) => continue,
                     }
                     let engine = self.engine.clone();
@@ -181,6 +181,31 @@ impl Server {
     }
 }
 
+/// Set up an accepted socket for serving and return the clone the
+/// drain registry holds. The accepted socket may inherit the
+/// listener's non-blocking mode, so it is reset to blocking. Nagle is
+/// off: every frame is one write, and a held-back small frame would
+/// wait ~40 ms for the peer's delayed ACK. `set_nodelay` comes before
+/// `try_clone` so the clone shares a fully set-up socket.
+fn prepare_accepted(stream: &TcpStream) -> io::Result<TcpStream> {
+    stream.set_nonblocking(false)?;
+    stream.set_nodelay(true)?;
+    stream.try_clone()
+}
+
+/// Write one response frame, observing its wire time in
+/// `mwtj_wire_write_ms` (unary responses and every streamed frame).
+fn write_observed(engine: &Engine, stream: &mut TcpStream, frame: &str) -> io::Result<()> {
+    let started = std::time::Instant::now();
+    let written = write_frame(stream, frame);
+    engine.metrics().observe(
+        "mwtj_wire_write_ms",
+        &[],
+        started.elapsed().as_secs_f64() * 1e3,
+    );
+    written
+}
+
 /// Serve one connection until it quits, disconnects, breaks framing,
 /// or the server shuts down.
 fn handle_connection(
@@ -202,7 +227,7 @@ fn handle_connection(
                     // away mid-stream (dropping the QueryStream inside
                     // the router cancels the run).
                     if let Some(result) = serve_streaming(engine, &stmts, request, &mut |frame| {
-                        write_frame(&mut stream, frame)
+                        write_observed(engine, &mut stream, frame)
                     }) {
                         if result.is_err() {
                             break;
@@ -217,14 +242,7 @@ fn handle_connection(
                     Ok(request) => handle_request(engine, &mut stmts, request),
                     Err(e) => (err_response(e), Action::Continue),
                 };
-                let wire_started = std::time::Instant::now();
-                let written = write_frame(&mut stream, &response);
-                engine.metrics().observe(
-                    "mwtj_wire_write_ms",
-                    &[],
-                    wire_started.elapsed().as_secs_f64() * 1e3,
-                );
-                if let Err(e) = written {
+                if let Err(e) = write_observed(engine, &mut stream, &response) {
                     // A response body over the frame limit is refused
                     // before any bytes hit the wire, so the stream is
                     // still in sync — tell the client instead of
@@ -745,11 +763,13 @@ pub struct Client {
 }
 
 impl Client {
-    /// Connect to a server.
+    /// Connect to a server. Nagle is off on the client's socket too:
+    /// a request frame held back for the server's delayed ACK would
+    /// add ~40 ms to every round trip.
     pub fn connect<A: ToSocketAddrs>(addr: A) -> io::Result<Client> {
-        Ok(Client {
-            stream: TcpStream::connect(addr)?,
-        })
+        let stream = TcpStream::connect(addr)?;
+        stream.set_nodelay(true)?;
+        Ok(Client { stream })
     }
 
     /// Send one request payload and wait for its response payload.
@@ -841,5 +861,40 @@ impl Client {
             frames.push(f.to_string())
         })?;
         Ok(frames)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::net::TcpListener;
+
+    #[test]
+    fn client_sockets_have_nagle_off() {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let client = Client::connect(listener.local_addr().unwrap()).unwrap();
+        assert!(client.stream.nodelay().unwrap());
+    }
+
+    #[test]
+    fn accepted_sockets_have_nagle_off() {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        listener.set_nonblocking(true).unwrap();
+        let _peer = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+        let accepted = loop {
+            match listener.accept() {
+                Ok((s, _)) => break s,
+                Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
+                    std::thread::sleep(Duration::from_millis(1))
+                }
+                Err(e) => panic!("accept: {e}"),
+            }
+        };
+        let clone = prepare_accepted(&accepted).unwrap();
+        assert!(accepted.nodelay().unwrap());
+        assert!(
+            clone.nodelay().unwrap(),
+            "the drain clone shares the socket"
+        );
     }
 }

@@ -587,6 +587,16 @@ fn statement_table_is_bounded_per_connection() {
     assert!(text.contains("ok closed=1"), "{text}");
 }
 
+/// The `mwtj_wire_write_ms` sample count in a `metrics` reply.
+fn wire_write_count(metrics: &str) -> u64 {
+    metrics
+        .lines()
+        .find_map(|l| l.strip_prefix("mwtj_wire_write_ms_count "))
+        .unwrap_or_else(|| panic!("no wire-write count in {metrics}"))
+        .parse()
+        .unwrap()
+}
+
 /// The observability verbs over real TCP: `metrics` answers the text
 /// exposition (with a populated latency histogram after a run),
 /// `stats json` answers the same registry as JSON, and
@@ -639,6 +649,15 @@ fn metrics_and_explain_verbs_over_tcp() {
     );
     // The wire-write histogram saw at least the earlier responses.
     assert!(metrics.contains("mwtj_wire_write_ms_count"), "{metrics}");
+    // …and every frame of a streamed response: the schema, batch and
+    // end frames, plus the `metrics` reply written in between.
+    let before = wire_write_count(&metrics);
+    let frames = c
+        .stream_sql(&RunOptions::default(), Some(64), Q_ST)
+        .unwrap();
+    assert!(frames.len() >= 3, "{frames:?}");
+    let after = wire_write_count(&c.request("metrics").unwrap());
+    assert_eq!(after - before, frames.len() as u64 + 1);
 
     // The JSON variant parses far enough to carry the same counter.
     let json = c.request("stats json").unwrap();
@@ -733,6 +752,44 @@ fn sys_catalog_history_and_profile_over_tcp() {
     // Unknown trace ids answer a typed error, not a hang-up.
     let missing = c.request("profile 999999999").unwrap();
     assert!(missing.starts_with("err no retained profile"), "{missing}");
+
+    shutdown(addr);
+    handle.join().unwrap();
+}
+
+/// Small frames must not stall on Nagle + delayed ACK: with a frame
+/// sent as two writes, or without `TCP_NODELAY`, each round trip waits
+/// ~40–90 ms for the peer's delayed ACK, so 200 pings take seconds
+/// rather than milliseconds. Back-to-back batch frames of a stream
+/// (no reply in between to carry the ACK) must not stall either.
+#[test]
+fn round_trips_and_stream_frames_do_not_stall() {
+    let (_engine, addr, handle) = start_server(8);
+    let mut c = Client::connect(addr).expect("connect");
+
+    let started = std::time::Instant::now();
+    for _ in 0..200 {
+        assert_eq!(c.request("ping").unwrap(), "ok pong");
+    }
+    let pings = started.elapsed();
+    assert!(pings < Duration::from_secs(2), "200 pings took {pings:?}");
+
+    let started = std::time::Instant::now();
+    let frames = c
+        .stream_sql(
+            &RunOptions::default(),
+            Some(16),
+            "SELECT x.a, y.b FROM r x, s y WHERE x.a <= y.a",
+        )
+        .unwrap();
+    let streamed = started.elapsed();
+    assert!(frames.len() >= 100, "{} frames", frames.len());
+    assert!(frames.last().unwrap().starts_with("ok stream=end"));
+    assert!(
+        streamed < Duration::from_secs(2),
+        "{} frames took {streamed:?}",
+        frames.len()
+    );
 
     shutdown(addr);
     handle.join().unwrap();
